@@ -55,11 +55,10 @@ replay-smoke:
 		replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
 	$(GO) run ./cmd/hpmpsim diff obs-out/replay/a obs-out/replay/b
 
-# Pipelines smoke: capture one quick trace, then drive it through the
-# config-specialized access pipeline of every isolation mode (DESIGN.md
-# §6.2), including the degenerate no-cache geometry. A non-zero exit from
-# any replay means a pipeline diverged from the recording or failed to
-# assemble.
+# Pipelines smoke: capture one quick trace, then replay it under every
+# isolation mode, on the degenerate no-cache geometry, and through the
+# scalar entry point. A non-zero exit from any replay means that machine
+# diverged from the recording or failed to assemble.
 pipelines-smoke:
 	rm -rf obs-out/pipelines
 	$(GO) run ./cmd/hpmpsim -quick \

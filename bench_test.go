@@ -151,8 +151,8 @@ func benchRig(b testing.TB) (*mmu.MMU, addr.VA) {
 
 // BenchmarkTLBHitAccess measures the simulator's own cost of one steady-state
 // data access that hits the L1 TLB — the hot path every simulated memory
-// reference pays. The PR-2 invariant is 0 allocs/op; BENCH_pr2.json records
-// the pre/post numbers.
+// reference pays. The invariant is 0 allocs/op; results/bench_history.json
+// records the pre/post numbers.
 func BenchmarkTLBHitAccess(b *testing.B) {
 	m, va := benchRig(b)
 	// Warm the TLB and caches.
@@ -222,8 +222,8 @@ func ptwWalkRig(tb testing.TB) (*ptw.Walker, addr.PA, addr.VA) {
 }
 
 // BenchmarkPTWWalkPWCHit measures the simulator's own cost of one page
-// walk whose three PTE fetches all hit the page walk cache. The PR-3
-// invariant is 0 allocs/op; BENCH_pr3.json records the pre/post numbers.
+// walk whose three PTE fetches all hit the page walk cache. The invariant
+// is 0 allocs/op; results/bench_history.json records the pre/post numbers.
 func BenchmarkPTWWalkPWCHit(b *testing.B) {
 	w, root, va := ptwWalkRig(b)
 	b.ReportAllocs()
@@ -282,8 +282,8 @@ func pmptWalkRig(tb testing.TB) (*pmpt.Walker, addr.PA, addr.Range, addr.PA) {
 
 // BenchmarkPMPTWalkCacheHit measures the simulator's own cost of one
 // permission-table walk whose root and leaf pmpte fetches both hit the
-// PMPTW cache. The PR-3 invariant is 0 allocs/op; BENCH_pr3.json records
-// the pre/post numbers.
+// PMPTW cache. The invariant is 0 allocs/op; results/bench_history.json
+// records the pre/post numbers.
 func BenchmarkPMPTWalkCacheHit(b *testing.B) {
 	w, root, region, pa := pmptWalkRig(b)
 	b.ReportAllocs()

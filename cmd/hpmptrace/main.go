@@ -33,7 +33,6 @@ import (
 	"hpmp/internal/obs"
 	"hpmp/internal/replay"
 	"hpmp/internal/simcfg"
-	"hpmp/internal/trace"
 	"hpmp/internal/workloads"
 )
 
@@ -124,7 +123,7 @@ func main() {
 		fatal(err)
 	}
 
-	rec := trace.New(*keep)
+	rec := newRecorder(*keep)
 	rec.Attach(mach.MMU)
 
 	start := mach.Core.Now

@@ -1,13 +1,15 @@
-// Package trace records per-access events from the MMU for offline
-// analysis: where each access hit (TLB level / walk), how many memory
-// references it cost by category, and its latency. A bounded ring keeps
-// the most recent events while running summaries cover the whole run —
-// the observability layer behind cmd/hpmptrace.
+// The access recorder behind hpmptrace: it records per-access events from
+// the MMU for offline analysis — where each access hit (TLB level / walk),
+// how many memory references it cost by category, and its latency. A
+// bounded ring keeps the most recent events while running summaries cover
+// the whole run.
 //
-// The event record is internal/obs.Event, the same structure the
-// simulator's inline tracing hooks emit and the JSONL trace files carry,
-// so cmd/hpmptrace and cmd/hpmpsim artifacts are read by the same tools.
-package trace
+// The event record is obs.Event, the same structure the simulator's inline
+// tracing hooks emit and the JSONL trace files carry, so hpmptrace and
+// hpmpsim artifacts are read by the same tools. The recorder emits
+// KindAccess events only: one per completed MMU access, never the
+// intermediate PTE/PMPT fetches.
+package main
 
 import (
 	"fmt"
@@ -20,15 +22,10 @@ import (
 	"hpmp/internal/stats"
 )
 
-// Event is the shared trace record (see internal/obs). The recorder emits
-// KindAccess events only: one per completed MMU access, never the
-// intermediate PTE/PMPT fetches.
-type Event = obs.Event
-
 // Recorder accumulates events and summaries. Attach it to an MMU with
-// Attach; the zero value is not usable — call New.
+// Attach; the zero value is not usable — call newRecorder.
 type Recorder struct {
-	ring  []Event
+	ring  []obs.Event
 	next  int
 	total uint64
 
@@ -36,13 +33,13 @@ type Recorder struct {
 	Counters stats.Counters
 }
 
-// New builds a recorder keeping the last `keep` events.
-func New(keep int) *Recorder {
+// newRecorder builds a recorder keeping the last `keep` events.
+func newRecorder(keep int) *Recorder {
 	if keep <= 0 {
 		keep = 1
 	}
 	return &Recorder{
-		ring:    make([]Event, 0, keep),
+		ring:    make([]obs.Event, 0, keep),
 		latHist: stats.DefaultLatencyHistogram(),
 	}
 }
@@ -102,8 +99,8 @@ func (r *Recorder) Record(va addr.VA, k perm.Access, res mmu.Result) {
 func (r *Recorder) Total() uint64 { return r.total }
 
 // Events returns the retained events, oldest first.
-func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, len(r.ring))
+func (r *Recorder) Events() []obs.Event {
+	out := make([]obs.Event, 0, len(r.ring))
 	if len(r.ring) < cap(r.ring) {
 		return append(out, r.ring...)
 	}

@@ -1,4 +1,4 @@
-package trace
+package main
 
 import (
 	"strings"
@@ -31,7 +31,7 @@ func tracedEnv(t *testing.T) (*Recorder, *kernel.Env) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(64)
+	r := newRecorder(64)
 	r.Attach(mach.MMU)
 	return r, e
 }
@@ -103,7 +103,7 @@ func TestDetach(t *testing.T) {
 	r, e := tracedEnv(t)
 	// Attach returned the detach func inside tracedEnv; attach a second
 	// recorder and verify detach restores the first.
-	r2 := New(8)
+	r2 := newRecorder(8)
 	detach := r2.Attach(e.K.Mach.MMU)
 	e.Store64(e.P.Heap(), 1)
 	if r2.Total() == 0 || r.Total() == 0 {

@@ -11,7 +11,6 @@ import (
 
 	"hpmp/internal/addr"
 	"hpmp/internal/dram"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/stats"
 )
 
@@ -95,16 +94,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// bump increments a pre-resolved handle on the fast path, or performs the
-// original map-keyed, name-concatenating increment on the reference path.
-func (c *Cache) bump(h *uint64, suffix string) {
-	if fastpath.Enabled {
-		*h++
-	} else {
-		c.Counters.Inc(c.cfg.Name + suffix)
-	}
-}
-
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -125,11 +114,11 @@ func (c *Cache) Lookup(pa addr.PA, write bool) bool {
 			if write {
 				l.dirty = true
 			}
-			c.bump(c.hHit, ".hit")
+			*c.hHit++
 			return true
 		}
 	}
-	c.bump(c.hMiss, ".miss")
+	*c.hMiss++
 	return false
 }
 
@@ -169,7 +158,7 @@ func (c *Cache) Fill(pa addr.PA, write bool) (victim addr.PA, dirty, ok bool) {
 	}
 	if vi < 0 {
 		// Fully locked set: bypass.
-		c.bump(c.hFillBypass, ".fill_bypass")
+		*c.hFillBypass++
 		return 0, false, false
 	}
 	{
@@ -177,14 +166,14 @@ func (c *Cache) Fill(pa addr.PA, write bool) (victim addr.PA, dirty, ok bool) {
 		victimLineAddr := (v.tag*c.sets + set) << c.lineBits
 		victim, dirty, ok = addr.PA(victimLineAddr), v.dirty, true
 		if dirty {
-			c.bump(c.hWriteback, ".writeback")
+			*c.hWriteback++
 		}
-		c.bump(c.hEvict, ".evict")
+		*c.hEvict++
 	}
 place:
 	c.tick++
 	ways[vi] = line{valid: true, dirty: write, tag: tag, lru: c.tick}
-	c.bump(c.hFill, ".fill")
+	*c.hFill++
 	return victim, dirty, ok
 }
 
@@ -207,7 +196,7 @@ func (c *Cache) Lock(pa addr.PA) bool {
 		}
 	}
 	if lockedWays >= len(ways)-1 {
-		c.bump(c.hLockReject, ".lock_reject")
+		*c.hLockReject++
 		return false
 	}
 	c.Fill(pa, false)
@@ -392,7 +381,7 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 	if !skipL1 {
 		lat = h.L1.Config().Latency
 		if h.L1.Lookup(pa, write) {
-			h.bump(hh.l1Hit, "mem.l1_hit")
+			*hh.l1Hit++
 			return AccessResult{Latency: lat, Level: LvlL1}
 		}
 	}
@@ -401,7 +390,7 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 		if !skipL1 {
 			h.L1.Fill(pa, write)
 		}
-		h.bump(hh.l2Hit, "mem.l2_hit")
+		*hh.l2Hit++
 		return AccessResult{Latency: lat, Level: LvlL2}
 	}
 	lat += h.LLC.Config().Latency
@@ -410,7 +399,7 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 		if !skipL1 {
 			h.L1.Fill(pa, write)
 		}
-		h.bump(hh.llcHit, "mem.llc_hit")
+		*hh.llcHit++
 		return AccessResult{Latency: lat, Level: LvlLLC}
 	}
 	// DRAM: convert the core-cycle issue time into controller cycles, run
@@ -428,18 +417,8 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 	if !skipL1 {
 		h.L1.Fill(pa, write)
 	}
-	h.bump(hh.dram, "mem.dram_access")
+	*hh.dram++
 	return AccessResult{Latency: lat, Level: LvlDRAM}
-}
-
-// bump increments a pre-resolved handle on the fast path, or performs the
-// original map-keyed increment on the reference path.
-func (h *Hierarchy) bump(hc *uint64, name string) {
-	if fastpath.Enabled {
-		*hc++
-	} else {
-		h.Counters.Inc(name)
-	}
 }
 
 // Warm inserts the line containing pa into every level without recording

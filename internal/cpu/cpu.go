@@ -12,7 +12,6 @@
 package cpu
 
 import (
-	"hpmp/internal/fastpath"
 	"hpmp/internal/mmu"
 	"hpmp/internal/perm"
 	"hpmp/internal/stats"
@@ -91,11 +90,7 @@ func (c *Core) Compute(n uint64) {
 	whole := uint64(c.instrCarry)
 	c.instrCarry -= float64(whole)
 	c.Now += whole
-	if fastpath.Enabled {
-		*c.hInstructions += n
-	} else {
-		c.Counters.Add("cpu.instructions", n)
-	}
+	*c.hInstructions += n
 }
 
 // Stall advances time by exactly n cycles (fences, fixed hardware
@@ -114,13 +109,8 @@ func (c *Core) Access(va addr.VA, k perm.Access, size uint64, out *mmu.Result) e
 	}
 	stall := c.exposedLatency(out)
 	c.Now += stall
-	if fastpath.Enabled {
-		*c.hMemOps++
-		*c.hMemStall += stall
-	} else {
-		c.Counters.Inc("cpu.mem_ops")
-		c.Counters.Add("cpu.mem_stall", stall)
-	}
+	*c.hMemOps++
+	*c.hMemStall += stall
 	_ = size
 	return nil
 }
@@ -181,13 +171,8 @@ func (c *Core) addMem(ops, stall uint64) {
 	if ops == 0 {
 		return
 	}
-	if fastpath.Enabled {
-		*c.hMemOps += ops
-		*c.hMemStall += stall
-	} else {
-		c.Counters.Add("cpu.mem_ops", ops)
-		c.Counters.Add("cpu.mem_stall", stall)
-	}
+	*c.hMemOps += ops
+	*c.hMemStall += stall
 }
 
 // exposedLatency splits an MMU result into translation (exposed) and data

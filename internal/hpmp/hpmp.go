@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
 	"hpmp/internal/pmp"
@@ -41,17 +40,6 @@ type Checker struct {
 
 	// Hot-path counter handles, resolved once at construction.
 	hDenyNoMatch, hDenyStraddle, hSegmentCheck, hTableCheck *uint64
-
-	// plans caches, per PMP entry, the decoded table-mode configuration
-	// (NAPOT region, root base, table depth) that checkInner would otherwise
-	// re-derive from the raw registers on every table check. A plan is only
-	// a memo: it records the exact register words it was compiled from and is
-	// revalidated against them before every use, so direct writes to
-	// PMP.Entries — by the monitor, tests, or anything else — can never be
-	// served stale. Consulted only on the fast path; the refpath reference
-	// always decodes from the registers. Allocated in NewSized, or lazily for
-	// struct-literal checkers.
-	plans []tablePlan
 
 	// Hist is the permission-check latency histogram ("hpmp.check_latency"
 	// in metrics snapshots): one observation per completed check. Segment
@@ -77,65 +65,7 @@ func NewSized(w *pmpt.Walker, n int) *Checker {
 	c.hDenyStraddle = c.Counters.Handle("hpmp.deny_straddle")
 	c.hSegmentCheck = c.Counters.Handle("hpmp.segment_check")
 	c.hTableCheck = c.Counters.Handle("hpmp.table_check")
-	c.plans = make([]tablePlan, n)
 	return c
-}
-
-// tablePlan is the compiled form of one table-mode entry: the decode of
-// (Entries[i], Entries[i+1]) plus the register words it came from, for
-// revalidation.
-type tablePlan struct {
-	valid    bool
-	twoLevel bool // mode == pmpt.Mode2Level: walk dispatches straight to Walk
-	addrWord uint64
-	cfgWord  uint8
-	rootWord uint64
-	region   addr.Range
-	rootBase addr.PA
-	mode     pmpt.TableMode
-}
-
-// tablePlanFor returns the compiled decode of table-mode entry i,
-// recompiling if the plan is absent or the raw registers have changed since
-// it was built. ok mirrors tableInfoMode's.
-func (c *Checker) tablePlanFor(i int) (region addr.Range, rootBase addr.PA, mode pmpt.TableMode, twoLevel, ok bool) {
-	if i < 0 || i >= c.PMP.NumEntries()-1 {
-		return addr.Range{}, 0, 0, false, false
-	}
-	if c.plans == nil {
-		c.plans = make([]tablePlan, c.PMP.NumEntries())
-	}
-	e, succ := c.PMP.Entries[i], c.PMP.Entries[i+1]
-	p := &c.plans[i]
-	if p.valid && p.addrWord == e.Addr && p.cfgWord == e.Cfg && p.rootWord == succ.Addr {
-		return p.region, p.rootBase, p.mode, p.twoLevel, true
-	}
-	region, rootBase, mode, ok = c.tableInfoMode(i)
-	if !ok {
-		p.valid = false
-		return addr.Range{}, 0, 0, false, false
-	}
-	*p = tablePlan{
-		valid:    true,
-		twoLevel: mode == pmpt.Mode2Level,
-		addrWord: e.Addr,
-		cfgWord:  e.Cfg,
-		rootWord: succ.Addr,
-		region:   region,
-		rootBase: rootBase,
-		mode:     mode,
-	}
-	return p.region, p.rootBase, p.mode, p.twoLevel, true
-}
-
-// bump increments a pre-resolved handle on the fast path, or performs the
-// original map-keyed increment on the reference path.
-func (c *Checker) bump(h *uint64, name string) {
-	if fastpath.Enabled {
-		*h++
-	} else {
-		c.Counters.Inc(name)
-	}
 }
 
 // SetSegment programs entry i in segment mode (T=0) over region with
@@ -255,18 +185,18 @@ func (c *Checker) checkInner(pa addr.PA, size uint64, k perm.Access, priv perm.P
 		if priv == perm.M && c.PMP.MModeDefaultAllow {
 			return Result{Allowed: true, Entry: -1, PermFound: perm.RWX}, nil
 		}
-		c.bump(c.hDenyNoMatch, "hpmp.deny_nomatch")
+		*c.hDenyNoMatch++
 		return Result{Allowed: false, Entry: -1}, nil
 	}
 	e := c.PMP.Entries[i]
 	region, _ := c.PMP.EntryRegion(i)
 	if !region.ContainsRange(addr.Range{Base: pa, Size: size}) {
-		c.bump(c.hDenyStraddle, "hpmp.deny_straddle")
+		*c.hDenyStraddle++
 		return Result{Allowed: false, Entry: i}, nil
 	}
 	if !e.Table() {
 		// Segment mode: register check, zero memory references.
-		c.bump(c.hSegmentCheck, "hpmp.segment_check")
+		*c.hSegmentCheck++
 		if priv == perm.M && !e.Locked() {
 			return Result{Allowed: true, Entry: i, PermFound: perm.RWX}, nil
 		}
@@ -278,31 +208,12 @@ func (c *Checker) checkInner(pa addr.PA, size uint64, k perm.Access, priv perm.P
 	if priv == perm.M {
 		return Result{Allowed: true, Entry: i, TableMode: true, PermFound: perm.RWX}, nil
 	}
-	c.bump(c.hTableCheck, "hpmp.table_check")
-	var (
-		w   pmpt.WalkResult
-		err error
-	)
-	if fastpath.Enabled {
-		// Compiled path: the register decode comes from the revalidated
-		// per-entry plan, and 2-level tables dispatch straight to Walk,
-		// skipping WalkDeep's mode branch.
-		_, rootBase, mode, twoLevel, ok := c.tablePlanFor(i)
-		if !ok {
-			return Result{}, fmt.Errorf("hpmp: entry %d in table mode but misconfigured", i)
-		}
-		if twoLevel {
-			w, err = c.Walker.Walk(rootBase, region, pa, now)
-		} else {
-			w, err = c.Walker.WalkDeep(rootBase, region, mode, pa, now)
-		}
-	} else {
-		_, rootBase, mode, ok := c.tableInfoMode(i)
-		if !ok {
-			return Result{}, fmt.Errorf("hpmp: entry %d in table mode but misconfigured", i)
-		}
-		w, err = c.Walker.WalkDeep(rootBase, region, mode, pa, now)
+	*c.hTableCheck++
+	_, rootBase, mode, ok := c.tableInfoMode(i)
+	if !ok {
+		return Result{}, fmt.Errorf("hpmp: entry %d in table mode but misconfigured", i)
 	}
+	w, err := c.Walker.WalkDeep(rootBase, region, mode, pa, now)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,14 +1,12 @@
-// Differential equivalence tests for the simulator's hot-path fast path
-// (internal/fastpath): the handle-based counters and the L1 TLB memo must
-// be pure speed devices. Running the same deterministic workload with
-// fastpath.Enabled and with the reference path (map-keyed counters, full
-// TLB searches) must produce identical per-access Results, identical
-// counters, and identical cycle totals — in every isolation mode.
-//
-// These tests flip fastpath.Enabled, a package-level variable, so they must
-// not run concurrently with other tests in this package that simulate
-// accesses. Go runs tests within a package sequentially unless t.Parallel
-// is called; nothing in this package calls it.
+// Differential tests for the simulator's hot structures. Each drives a
+// fixed, seeded workload through the whole stack — TLBs with the L1 last-hit
+// memo, page walker and PWC, HPMP checker and PMPTW cache, cache hierarchy —
+// and requires every observable (per-access Results, merged counters, cycle
+// total) to match the committed expectation in testdata/differential. Those
+// expectations were captured from the optimized and the reference
+// implementations when both still existed and agreed byte for byte (see
+// expectations_test.go), so they are the reference these tests compare
+// against.
 package integration
 
 import (
@@ -19,7 +17,6 @@ import (
 	"hpmp/internal/addr"
 	"hpmp/internal/bench"
 	"hpmp/internal/cpu"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/kernel"
 	"hpmp/internal/memport"
 	"hpmp/internal/mmu"
@@ -195,42 +192,17 @@ func runDifferentialWorkload(t *testing.T, mode monitor.Mode) diffRun {
 	}
 }
 
-// withFastpath runs f with fastpath.Enabled forced to v, restoring the
-// previous setting afterwards.
-func withFastpath(v bool, f func()) {
-	prev := fastpath.Enabled
-	fastpath.Enabled = v
-	defer func() { fastpath.Enabled = prev }()
-	f()
-}
-
-// TestDifferentialFastVsReference is the tentpole's gate: for each
-// isolation mode, the fast path and the reference path must be observably
-// identical — same per-access Results, same counters, same cycle total.
+// TestDifferentialFastVsReference: for each isolation mode, the mixed
+// native workload must reproduce the reference's per-access Results,
+// counters, and cycle total exactly.
 func TestDifferentialFastVsReference(t *testing.T) {
 	for _, mode := range []monitor.Mode{monitor.ModePMP, monitor.ModePMPT, monitor.ModeHPMP} {
 		t.Run(mode.String(), func(t *testing.T) {
-			var fast, ref diffRun
-			withFastpath(true, func() { fast = runDifferentialWorkload(t, mode) })
-			withFastpath(false, func() { ref = runDifferentialWorkload(t, mode) })
-
-			if len(fast.results) != len(ref.results) {
-				t.Fatalf("recorded %d results fast vs %d reference", len(fast.results), len(ref.results))
+			r := runDifferentialWorkload(t, mode)
+			if r.cycles == 0 || len(r.results) == 0 {
+				t.Fatalf("workload did no work (cycles=%d, results=%d)", r.cycles, len(r.results))
 			}
-			for i := range fast.results {
-				if fast.results[i] != ref.results[i] {
-					t.Fatalf("result %d differs:\n  fast: %+v\n  ref:  %+v", i, fast.results[i], ref.results[i])
-				}
-			}
-			if fast.cycles != ref.cycles {
-				t.Errorf("cycle totals differ: fast %d, reference %d", fast.cycles, ref.cycles)
-			}
-			if fast.counters != ref.counters {
-				t.Errorf("counters differ:\nfast: %s\nref:  %s", fast.counters, ref.counters)
-			}
-			if fast.cycles == 0 || len(fast.results) == 0 {
-				t.Fatalf("workload did no work (cycles=%d, results=%d)", fast.cycles, len(fast.results))
-			}
+			checkExpectation(t, "native-"+strings.ToLower(mode.String()), fingerprint(r.results, r.cycles, r.counters))
 		})
 	}
 }
@@ -248,7 +220,7 @@ type virtDiffRun struct {
 // everything else, PMPTW cache enabled) and drives a deterministic mix of
 // guest accesses: same-page streaks (GTLB memo), page hops (PWC probes
 // behind GTLB misses), page and access faults, and both hfence flavours
-// (which clear the PWC/GTLB/NPTLB and their memos).
+// (which clear the PWC/GTLB/NPTLB and the TLB memos).
 func runDifferentialVirtWorkload(t *testing.T) virtDiffRun {
 	t.Helper()
 	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
@@ -291,7 +263,7 @@ func runDifferentialVirtWorkload(t *testing.T) virtDiffRun {
 		t.Fatal(err)
 	}
 	// The PMPTW cache is disabled by default (§7); enable it here so the
-	// differential run exercises the WalkerCache probe path and its memo.
+	// differential run exercises the WalkerCache probe path.
 	mach.PMPTWCache.Enabled = true
 
 	hyp := virt.NewHypervisor(mach, mach.Checker, npt, guest)
@@ -369,7 +341,8 @@ func runDifferentialVirtWorkload(t *testing.T) virtDiffRun {
 				record(hyp.AccessGuest(evilGVA, perm.Read, now))
 			}
 		case r < 90:
-			// Fences: reset the combined translations and every memo.
+			// Fences: reset the combined translations, the PWC and the TLB
+			// memos.
 			if next()%3 == 0 {
 				hyp.HFenceGVMA()
 			} else {
@@ -399,48 +372,31 @@ func runDifferentialVirtWorkload(t *testing.T) virtDiffRun {
 	return virtDiffRun{results: results, counters: all2.String(), cycles: now}
 }
 
-// TestDifferentialVirtFastVsReference promotes the differential gate to the
-// two-stage (virt) pipeline: the guest TLBs, the hypervisor PWC, and the
-// PMPTW cache all run their memoized fast paths, and every observable —
-// per-access Results, merged counters, cycle totals — must be byte-identical
-// to the reference path.
+// TestDifferentialVirtFastVsReference extends the gate to the two-stage
+// (virt) pipeline: the guest TLBs, the hypervisor PWC, and the PMPTW cache
+// must reproduce the reference's per-access Results, merged counters, and
+// cycle total exactly.
 func TestDifferentialVirtFastVsReference(t *testing.T) {
-	var fast, ref virtDiffRun
-	withFastpath(true, func() { fast = runDifferentialVirtWorkload(t) })
-	withFastpath(false, func() { ref = runDifferentialVirtWorkload(t) })
-
-	if len(fast.results) != len(ref.results) {
-		t.Fatalf("recorded %d results fast vs %d reference", len(fast.results), len(ref.results))
+	r := runDifferentialVirtWorkload(t)
+	if r.cycles == 0 || len(r.results) == 0 {
+		t.Fatalf("workload did no work (cycles=%d, results=%d)", r.cycles, len(r.results))
 	}
-	for i := range fast.results {
-		if fast.results[i] != ref.results[i] {
-			t.Fatalf("result %d differs:\n  fast: %+v\n  ref:  %+v", i, fast.results[i], ref.results[i])
-		}
-	}
-	if fast.cycles != ref.cycles {
-		t.Errorf("cycle totals differ: fast %d, reference %d", fast.cycles, ref.cycles)
-	}
-	if fast.counters != ref.counters {
-		t.Errorf("counters differ:\nfast: %s\nref:  %s", fast.counters, ref.counters)
-	}
-	if fast.cycles == 0 || len(fast.results) == 0 {
-		t.Fatalf("workload did no work (cycles=%d, results=%d)", fast.cycles, len(fast.results))
-	}
-	// The gate is only meaningful if the workload actually drove the
-	// memoized probe loops and both fault flavours.
+	// The gate is only meaningful if the workload actually drove the cached
+	// probe loops and both fault flavours.
 	for _, want := range []string{"gtlb.hit=", "pmptw.cache_hit=", "pmptw.walk="} {
-		if !strings.Contains(fast.counters+" ", want) || strings.Contains(fast.counters+" ", want+"0 ") {
-			t.Errorf("workload never exercised %q (counters: %s)", want, fast.counters)
+		if !strings.Contains(r.counters+" ", want) || strings.Contains(r.counters+" ", want+"0 ") {
+			t.Errorf("workload never exercised %q (counters: %s)", want, r.counters)
 		}
 	}
 	var faults, denies bool
-	for _, r := range fast.results {
-		faults = faults || r.PageFault
-		denies = denies || r.AccessFault
+	for _, res := range r.results {
+		faults = faults || res.PageFault
+		denies = denies || res.AccessFault
 	}
 	if !faults || !denies {
 		t.Errorf("workload must produce both fault flavours (page=%v access=%v)", faults, denies)
 	}
+	checkExpectation(t, "virt", fingerprint(r.results, r.cycles, r.counters))
 }
 
 // deepDiffRun captures everything observable about one deep-walker run.
@@ -504,8 +460,8 @@ func runDifferentialDeepWalkWorkload(t *testing.T) deepDiffRun {
 	for i := 0; i < 4000; i++ {
 		switch r := next() % 100; {
 		case r < 55:
-			// Streaks over one base: the cache's (and memo's) bread and
-			// butter — repeated root/leaf pmpte probes.
+			// Streaks over one base: the cache's bread and butter —
+			// repeated root/leaf pmpte probes.
 			base := probeBases[next()%uint64(len(probeBases))]
 			for j := uint64(0); j < 1+next()%4; j++ {
 				pa := base + addr.PA((next()%256)*addr.PageSize)
@@ -547,8 +503,8 @@ func runDifferentialDeepWalkWorkload(t *testing.T) deepDiffRun {
 				}
 			}
 		case r < 96:
-			// Table edit + mandatory invalidation (the §5 flush rule): the
-			// memo must die with the cache.
+			// Table edit + mandatory invalidation (the §5 flush rule): no
+			// stale pmpte may survive it.
 			p := perm.R
 			if next()%2 == 0 {
 				p = perm.RW
@@ -566,42 +522,27 @@ func runDifferentialDeepWalkWorkload(t *testing.T) deepDiffRun {
 	return deepDiffRun{results: results, counters: w.Counters.String(), cycles: now}
 }
 
-// TestDifferentialDeepWalkerFastVsReference promotes the differential gate
-// to the deep (3-level) PMPT walker: fast and reference paths must produce
-// byte-identical WalkResults, counters, and cycle totals.
+// TestDifferentialDeepWalkerFastVsReference extends the gate to the deep
+// (3-level) PMPT walker: every walk must agree with the software lookup
+// (checked inside the workload), and the WalkResults, counters, and cycle
+// total must match the reference exactly.
 func TestDifferentialDeepWalkerFastVsReference(t *testing.T) {
-	var fast, ref deepDiffRun
-	withFastpath(true, func() { fast = runDifferentialDeepWalkWorkload(t) })
-	withFastpath(false, func() { ref = runDifferentialDeepWalkWorkload(t) })
-
-	if len(fast.results) != len(ref.results) {
-		t.Fatalf("recorded %d results fast vs %d reference", len(fast.results), len(ref.results))
-	}
-	for i := range fast.results {
-		if fast.results[i] != ref.results[i] {
-			t.Fatalf("result %d differs:\n  fast: %+v\n  ref:  %+v", i, fast.results[i], ref.results[i])
-		}
-	}
-	if fast.cycles != ref.cycles {
-		t.Errorf("cycle totals differ: fast %d, reference %d", fast.cycles, ref.cycles)
-	}
-	if fast.counters != ref.counters {
-		t.Errorf("counters differ:\nfast: %s\nref:  %s", fast.counters, ref.counters)
-	}
-	if fast.cycles == 0 || len(fast.results) == 0 {
-		t.Fatalf("workload did no work (cycles=%d, results=%d)", fast.cycles, len(fast.results))
+	r := runDifferentialDeepWalkWorkload(t)
+	if r.cycles == 0 || len(r.results) == 0 {
+		t.Fatalf("workload did no work (cycles=%d, results=%d)", r.cycles, len(r.results))
 	}
 	for _, want := range []string{"pmptw.cache_hit=", "pmptw.mem_ref=", "pmptw.huge=", "pmptw.invalid=", "pmptw.walk="} {
-		if !strings.Contains(fast.counters+" ", want) || strings.Contains(fast.counters+" ", want+"0 ") {
-			t.Errorf("workload never exercised %q (counters: %s)", want, fast.counters)
+		if !strings.Contains(r.counters+" ", want) || strings.Contains(r.counters+" ", want+"0 ") {
+			t.Errorf("workload never exercised %q (counters: %s)", want, r.counters)
 		}
 	}
+	checkExpectation(t, "deepwalk", fingerprint(r.results, r.cycles, r.counters))
 }
 
 // TestDifferentialExperimentOutput runs one real registered experiment
-// through the parallel runner under both paths and compares the rendered
-// tables and the counter CSV snapshot byte for byte — the same artifacts
-// `hpmpsim run` prints and `-csv` exports.
+// through the parallel runner and compares the rendered tables and the
+// counter CSV snapshot — the same artifacts `hpmpsim run` prints and `-csv`
+// exports — with the reference byte for byte.
 func TestDifferentialExperimentOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment run; skipped with -short")
@@ -612,24 +553,11 @@ func TestDifferentialExperimentOutput(t *testing.T) {
 	}
 	cfg := bench.DefaultConfig()
 	cfg.Quick = true
-
-	run := func() (render, csv string) {
-		outs := bench.RunAll(context.Background(), cfg, []bench.Experiment{exp}, bench.RunOptions{Parallel: 1}, nil)
-		if len(outs) != 1 || !outs[0].OK() {
-			t.Fatalf("experiment failed: %+v", outs)
-		}
-		return outs[0].Result.Render(), bench.CountersCSV(outs[0].Result)
+	outs := bench.RunAll(context.Background(), cfg, []bench.Experiment{exp}, bench.RunOptions{Parallel: 1}, nil)
+	if len(outs) != 1 || !outs[0].OK() {
+		t.Fatalf("experiment failed: %+v", outs)
 	}
-	var fastRender, fastCSV, refRender, refCSV string
-	withFastpath(true, func() { fastRender, fastCSV = run() })
-	withFastpath(false, func() { refRender, refCSV = run() })
-
-	if fastRender != refRender {
-		t.Errorf("rendered tables differ:\n%s", firstDiff(fastRender, refRender))
-	}
-	if fastCSV != refCSV {
-		t.Errorf("counter CSVs differ:\n%s", firstDiff(fastCSV, refCSV))
-	}
+	checkExpectation(t, "experiment-fig3a", outs[0].Result.Render()+"\n"+bench.CountersCSV(outs[0].Result))
 }
 
 // firstDiff renders the first differing line of two multi-line strings.

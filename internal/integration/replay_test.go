@@ -4,9 +4,9 @@
 // canonical replay config produce byte-identical counter snapshots and
 // Prometheus text — and must be a fixpoint: re-capturing the replay's own
 // stream and replaying it reproduces the machine counters and latency
-// histograms exactly. This is the replay-equivalence tier the refpath
-// differential gate's sibling: refpath pins the MMU against a reference
-// model, this pins the replay engine against the recorder.
+// histograms exactly. It is the differential tests' sibling: they pin the
+// MMU against the reference expectations, this pins the replay engine
+// against the recorder.
 package integration
 
 import (

@@ -20,7 +20,7 @@ import (
 	"hpmp/internal/perm"
 )
 
-var updateTrace = flag.Bool("update", false, "rewrite the golden trace file with current output")
+var update = flag.Bool("update", false, "rewrite the golden trace and the differential expectations with current output")
 
 // traceWorkload drives a small fixed access mix: sequential stores over a
 // few pages (cold walks then TLB hits), a re-read pass (warm hits), one
@@ -83,7 +83,7 @@ func TestGoldenTrace(t *testing.T) {
 	}
 
 	golden := filepath.Join("testdata", "tiny.trace.jsonl")
-	if *updateTrace {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func newRig(t *testing.T, mode isoMode) *rig {
 }
 
 // newRigL2 is newRig with an explicit L2 TLB capacity (0 = no L2 TLB), for
-// the pipeline-selection and zero-capacity sweeps.
+// the zero-capacity sweeps.
 func newRigL2(t *testing.T, mode isoMode, l2Entries int) *rig {
 	t.Helper()
 	mem := phys.New(memSize)

@@ -133,8 +133,8 @@ func TLBPathFromString(s string) (TLBPath, bool) {
 }
 
 // Event is one sampled translation-path event — the single record
-// definition shared by the live tracer, the trace-file format, the
-// internal/trace recorder, and cmd/hpmptrace's reader. It is a fixed-size
+// definition shared by the live tracer, the trace-file format, and
+// cmd/hpmptrace's recorder and reader. It is a fixed-size
 // value so recording one never allocates.
 //
 // Field meaning varies slightly by Kind:

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/memport"
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
@@ -440,9 +439,7 @@ type walkerHandles struct {
 	invalid, huge, walk, cacheHit, memRef *uint64
 }
 
-// handles resolves the walker's counter handles on first use; resolution is
-// identical on the fast and reference paths so counter snapshots never
-// differ between them.
+// handles resolves the walker's counter handles on first use.
 func (w *Walker) handles() *walkerHandles {
 	if w.hh.invalid == nil {
 		w.hh = walkerHandles{
@@ -454,16 +451,6 @@ func (w *Walker) handles() *walkerHandles {
 		}
 	}
 	return &w.hh
-}
-
-// bump increments a pre-resolved handle on the fast path, or performs the
-// original map-keyed increment on the reference path.
-func (w *Walker) bump(h *uint64, name string) {
-	if fastpath.Enabled {
-		*h++
-	} else {
-		w.Counters.Inc(name)
-	}
 }
 
 // hist lazily allocates the walk-latency histogram, mirroring handles().
@@ -504,13 +491,13 @@ func (w *Walker) walkInner(rootBase addr.PA, region addr.Range, pa addr.PA, now 
 	}
 	re := RootPTE(raw)
 	if !re.Valid() {
-		w.bump(w.handles().invalid, "pmptw.invalid")
+		*w.handles().invalid++
 		return res, nil
 	}
 	if re.IsHuge() {
 		res.Valid = true
 		res.Perm = re.Perm()
-		w.bump(w.handles().huge, "pmptw.huge")
+		*w.handles().huge++
 		return res, nil
 	}
 	leafPA := re.LeafBase() + addr.PA(off0*8)
@@ -520,7 +507,7 @@ func (w *Walker) walkInner(rootBase addr.PA, region addr.Range, pa addr.PA, now 
 	}
 	res.Valid = true
 	res.Perm = LeafPTE(lraw).PagePerm(pageIdx)
-	w.bump(w.handles().walk, "pmptw.walk")
+	*w.handles().walk++
 	return res, nil
 }
 
@@ -529,7 +516,7 @@ func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) 
 	if w.Cache != nil && w.Cache.Enabled {
 		if v, ok := w.Cache.Lookup(pa); ok {
 			res.Hits++
-			w.bump(w.handles().cacheHit, "pmptw.cache_hit")
+			*w.handles().cacheHit++
 			if w.Trace != nil {
 				w.Trace.Emit(obs.Event{Kind: obs.KindPMPTFetch, Access: perm.Read, PA: pa, Level: -1, Hit: true})
 			}
@@ -542,7 +529,7 @@ func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) 
 	}
 	res.Latency += lat
 	res.MemRefs++
-	w.bump(w.handles().memRef, "pmptw.mem_ref")
+	*w.handles().memRef++
 	if w.Trace != nil {
 		w.Trace.Emit(obs.Event{Kind: obs.KindPMPTFetch, Access: perm.Read, PA: pa, Level: -1, Refs: 1, ChkRefs: 1, Cycles: lat})
 	}
@@ -560,9 +547,6 @@ type WalkerCache struct {
 	Enabled bool
 	entries []wcEntry
 	tick    uint64
-	// memo is the one-entry last-hit hint in front of the associative scan,
-	// consulted only on the fast path and revalidated before use.
-	memo fastpath.Memo
 }
 
 type wcEntry struct {
@@ -581,50 +565,8 @@ func NewWalkerCache(n int) *WalkerCache {
 // Len returns the capacity.
 func (c *WalkerCache) Len() int { return len(c.entries) }
 
-// Lookup probes for the pmpte at pa. On the fast path the scan starts at
-// the memoized last-hit slot and wraps: a permission walk probes root then
-// leaf in a stable cycle, so the next probe's slot is usually at or just
-// after the previous hit. PAs are unique among used entries (Insert
-// refreshes a duplicate in place), so scan order cannot change which entry
-// is found, a miss still inspects every used slot, and the LRU tick on a
-// hit is exactly the one the in-order scan would apply — the hint only
-// reorders the search.
+// Lookup probes for the pmpte at pa, updating LRU on a hit.
 func (c *WalkerCache) Lookup(pa addr.PA) (uint64, bool) {
-	if fastpath.Enabled {
-		start := 0
-		if i := c.memo.Index(); i >= 0 {
-			start = i
-		}
-		// Used entries always form a prefix: Insert fills the first free
-		// slot, eviction replaces in place, and Invalidate clears all — so
-		// the first unused slot ends each scan segment.
-		for i := start; i < len(c.entries); i++ {
-			e := &c.entries[i]
-			if !e.used {
-				break
-			}
-			if e.pa == pa {
-				c.tick++
-				e.lru = c.tick
-				c.memo.Remember(i)
-				return e.val, true
-			}
-		}
-		for i := 0; i < start; i++ {
-			e := &c.entries[i]
-			if !e.used {
-				break
-			}
-			if e.pa == pa {
-				c.tick++
-				e.lru = c.tick
-				c.memo.Remember(i)
-				return e.val, true
-			}
-		}
-		return 0, false
-	}
-	// Reference path: the original in-order scan.
 	for i := range c.entries {
 		e := &c.entries[i]
 		if e.used && e.pa == pa {
@@ -669,11 +611,10 @@ func (c *WalkerCache) Insert(pa addr.PA, val uint64) {
 	c.entries[slot] = wcEntry{pa: pa, val: val, lru: c.tick, used: true}
 }
 
-// Invalidate clears the cache and its last-hit memo; the monitor calls it
-// whenever it edits a table (mirroring the TLB flush requirement in §5).
+// Invalidate clears the cache; the monitor calls it whenever it edits a
+// table (mirroring the TLB flush requirement in §5).
 func (c *WalkerCache) Invalidate() {
 	for i := range c.entries {
 		c.entries[i] = wcEntry{}
 	}
-	c.memo.Clear()
 }

@@ -349,8 +349,9 @@ func TestWalkerCacheDuplicateInsertRefreshes(t *testing.T) {
 	}
 }
 
-// TestWalkerCacheInvalidateClearsMemo: Invalidate must clear the last-hit
-// memo along with the entries.
+// TestWalkerCacheInvalidateClearsMemo: after a hit primes the cache,
+// Invalidate must empty it — a probe of the same PA right after must miss —
+// and leave the slot reusable.
 func TestWalkerCacheInvalidateClearsMemo(t *testing.T) {
 	c := NewWalkerCache(4)
 	c.Enabled = true

@@ -375,9 +375,9 @@ func TestPWCDuplicateInsertRefreshes(t *testing.T) {
 	}
 }
 
-// TestPWCInvalidateClearsMemo: after a Lookup primes the last-hit memo,
-// Invalidate must clear both the entries and the memo — a memoized probe
-// of the same PA right after a flush must miss.
+// TestPWCInvalidateClearsMemo: after a hit primes the cache, Invalidate
+// must empty it — a probe of the same PA right after a flush must miss —
+// and leave the slot reusable.
 func TestPWCInvalidateClearsMemo(t *testing.T) {
 	c := NewPWC(4)
 	c.Insert(0x10, 1)

@@ -155,8 +155,8 @@ func TestReplayAllModes(t *testing.T) {
 		{"hpmp-depth4", func(c *Config) { c.Mode = ModeHPMP; c.TableDepth = 4 }, []string{"pmptw.walk"}},
 		{"boom-pmptw-cache", func(c *Config) { c.Platform = "boom"; c.Mode = ModePMPT; c.PMPTWCache = 8 }, []string{"pmptw.cache_hit"}},
 		{"tiny-tlb", func(c *Config) { c.L2TLBEntries = 4; c.PWCEntries = -1 }, []string{"stlb.miss"}},
-		// Every cache structure explicitly absent: the pipeline compiler must
-		// produce a legal no-op-cache machine (ISSUE 8 degenerate sweep).
+		// Every cache structure explicitly absent: assembly must produce a
+		// legal no-op-cache machine (the degenerate sweep).
 		{"no-caches", func(c *Config) {
 			c.Mode = ModePMPT
 			c.L2TLBEntries = -1

@@ -52,6 +52,11 @@ func (m *Machine) UnmarshalJSON(data []byte) error {
 	if err := dec.Decode(&w); err != nil {
 		return fmt.Errorf("simcfg: parsing machine config: %w", err)
 	}
+	// Checked here, before the MiB → bytes multiply can wrap a huge value
+	// into a small, valid-looking size.
+	if w.MemMiB > MaxMemSize/addr.MiB {
+		return fmt.Errorf("simcfg: mem_mib %d exceeds the %d MiB maximum", w.MemMiB, MaxMemSize/addr.MiB)
+	}
 	*m = Machine{
 		Platform:     w.Platform,
 		Mode:         w.Mode,

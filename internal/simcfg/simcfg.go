@@ -76,6 +76,20 @@ const MinMemSize = 64 * addr.MiB
 // replay-capable by construction.
 const PoolAlign = 32 * addr.MiB
 
+// Geometry and memory maxima. Validate rejects anything larger before a
+// machine is assembled: the TLBs and caches are allocated up front, so an
+// unbounded request (say a 2^40-entry PWC) ends in an unrecoverable
+// out-of-memory crash of the whole process instead of an error. Each bound
+// leaves wide headroom over the paper's largest configuration — Table 1's
+// 1024-entry L2 TLB, Fig. 17's 32-entry PWC, §7's 8-entry PMPTW cache, the
+// 16 GB evaluation DRAM — and over every committed experiment.
+const (
+	MaxL2TLBEntries = 1 << 16
+	MaxPWCEntries   = 1 << 10
+	MaxPMPTWCache   = 1 << 10
+	MaxMemSize      = 64 * addr.GiB
+)
+
 // Machine is the unified machine configuration. The zero value is not a
 // valid machine; start from Default (or call WithDefaults on a partially
 // filled value, as the JSON decoder path does).
@@ -99,8 +113,8 @@ type Machine struct {
 	TableDepth int
 	// Scalar drains access blocks through the scalar mmu.Access entry
 	// point — one call per reference with the same per-access accounting —
-	// instead of mmu.AccessBatch. The pipeline differential matrix uses it
-	// to prove both entry points byte-identical on every compiled variant.
+	// instead of mmu.AccessBatch. The differential matrix uses it to prove
+	// both entry points byte-identical on every machine config.
 	Scalar bool
 }
 
@@ -144,6 +158,25 @@ func (m Machine) Validate() error {
 	}
 	if m.MemSize%PoolAlign != 0 {
 		return fmt.Errorf("simcfg: mem size must be a multiple of %d MiB", PoolAlign/addr.MiB)
+	}
+	if m.MemSize > MaxMemSize {
+		return fmt.Errorf("simcfg: mem size %d MiB exceeds the %d MiB maximum",
+			m.MemSize/addr.MiB, MaxMemSize/addr.MiB)
+	}
+	for _, g := range []struct {
+		name     string
+		n, limit int
+	}{
+		{"l2tlb", m.L2TLBEntries, MaxL2TLBEntries},
+		{"pwc", m.PWCEntries, MaxPWCEntries},
+		{"pmptw_cache", m.PMPTWCache, MaxPMPTWCache},
+	} {
+		if g.n > g.limit {
+			return fmt.Errorf("simcfg: %s %d exceeds the maximum of %d entries", g.name, g.n, g.limit)
+		}
+	}
+	if m.L2TLBEntries > 0 && !addr.IsPow2(uint64(m.L2TLBEntries)) {
+		return fmt.Errorf("simcfg: l2tlb %d must be a power of two (the L2 TLB is direct-mapped)", m.L2TLBEntries)
 	}
 	switch m.TableDepth {
 	case 0, 2, 3, 4:

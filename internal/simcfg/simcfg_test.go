@@ -40,6 +40,12 @@ func TestValidateRejects(t *testing.T) {
 		{"mem-unaligned", func(m *Machine) { m.MemSize = 96*addr.MiB + 4096 }, "multiple"},
 		{"depth", func(m *Machine) { m.TableDepth = 5 }, "depth"},
 		{"depth-mode", func(m *Machine) { m.Mode = ModePMP; m.TableDepth = 3 }, "permission-table mode"},
+		{"mem-huge", func(m *Machine) { m.MemSize = MaxMemSize + PoolAlign }, "maximum"},
+		{"l2tlb-huge", func(m *Machine) { m.L2TLBEntries = MaxL2TLBEntries + 1 }, "l2tlb"},
+		{"pwc-huge", func(m *Machine) { m.PWCEntries = MaxPWCEntries + 1 }, "pwc"},
+		{"pwc-2^40", func(m *Machine) { m.PWCEntries = 1 << 40 }, "pwc"},
+		{"pmptw-cache-huge", func(m *Machine) { m.PMPTWCache = MaxPMPTWCache + 1 }, "pmptw_cache"},
+		{"l2tlb-not-pow2", func(m *Machine) { m.L2TLBEntries = 3 }, "power of two"},
 	}
 	for _, tc := range cases {
 		m := Default()
@@ -51,6 +57,22 @@ func TestValidateRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestValidateAcceptsMaxima pins the upper bounds as inclusive, with the
+// paper's largest configurations (1024-entry L2 TLB, 32-entry PWC, 16 GiB
+// DRAM) and absent structures well inside them.
+func TestValidateAcceptsMaxima(t *testing.T) {
+	for _, m := range []Machine{
+		{MemSize: MaxMemSize, L2TLBEntries: MaxL2TLBEntries, PWCEntries: MaxPWCEntries, PMPTWCache: MaxPMPTWCache},
+		{MemSize: 16 * addr.GiB, L2TLBEntries: 1024, PWCEntries: 32, PMPTWCache: 8},
+		{L2TLBEntries: -1, PWCEntries: -1, PMPTWCache: -1},
+	} {
+		m = m.WithDefaults()
+		if err := m.Validate(); err != nil {
+			t.Errorf("%v: %v", m, err)
 		}
 	}
 }
@@ -106,6 +128,19 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("round trip %+v -> %s -> %+v", in, data, out)
+	}
+}
+
+// TestJSONRejectsWrappingMemSize: a mem_mib whose byte size overflows
+// uint64 must fail to decode rather than wrap into a small valid size
+// (2^44 + 512 MiB would otherwise read as 512 MiB).
+func TestJSONRejectsWrappingMemSize(t *testing.T) {
+	var m Machine
+	if err := json.Unmarshal([]byte(`{"mem_mib":17592186044928}`), &m); err == nil {
+		t.Fatalf("decoded to %v, want an error", m)
+	}
+	if err := json.Unmarshal([]byte(`{"mem_mib":65536}`), &m); err != nil || m.MemSize != MaxMemSize {
+		t.Fatalf("mem_mib at the maximum: %v, %v", m, err)
 	}
 }
 

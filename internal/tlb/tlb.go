@@ -8,20 +8,19 @@
 // cases". Both the baselines and HPMP get this optimization, as in the
 // paper's implementation (§7).
 //
-// The L1 additionally keeps a one-entry last-translation memo in front of
-// the associative search (same-page access streaks are the common case, so
-// the memo hits far more often than it misses). The memo is a pure
-// simulator-speed device: on a memo hit the same LRU update and hit-counter
-// bump happen as if the full search had run, so the modeled hardware is
-// bit-for-bit unaffected — the differential tests in internal/integration
-// prove it. Hot-path counters are bumped through pre-resolved handles
-// (stats.Counters.Handle); the reference path (fastpath.Enabled = false)
-// keeps the original map-keyed increments and full searches.
+// The L1 additionally keeps a one-entry last-hit memo in front of the
+// associative search (same-page access streaks are the common case, so the
+// memo hits far more often than it misses). The memo is a pure
+// simulator-speed device: the slot is revalidated (valid bit + VPN match)
+// before use, and a memo hit makes the same LRU update and hit-counter bump
+// the full search would, so the modeled hardware is bit-for-bit unaffected.
+// The full-scan model in internal/integration (cache_oracle_test.go) is its
+// standing reference. Counters are bumped through pre-resolved handles
+// (stats.Counters.Handle).
 package tlb
 
 import (
 	"hpmp/internal/addr"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/perm"
 	"hpmp/internal/stats"
 )
@@ -41,14 +40,13 @@ type Entry struct {
 
 // L1 is a fully-associative TLB with true-LRU replacement.
 type L1 struct {
-	name    string
 	entries []Entry
 	tick    uint64
-	// memo is the one-entry fast path in front of the associative search:
-	// the shared last-hit hint (fastpath.Memo) the PWC and PMPTW cache also
-	// use. It is only a hint: the entry is revalidated (valid bit + VPN
-	// match) before use.
-	memo fastpath.Memo
+	// memo is the index of the slot the last hit came from, or -1. It is
+	// only a hint: the entry is revalidated (valid bit + VPN match) before
+	// use, so it never needs clearing for correctness; the flushes reset it
+	// anyway.
+	memo int
 
 	hHit, hMiss *uint64
 
@@ -57,7 +55,7 @@ type L1 struct {
 
 // NewL1 builds a fully-associative TLB with n entries.
 func NewL1(name string, n int) *L1 {
-	t := &L1{name: name, entries: make([]Entry, n)}
+	t := &L1{entries: make([]Entry, n), memo: -1}
 	t.hHit = t.Counters.Handle(name + ".hit")
 	t.hMiss = t.Counters.Handle(name + ".miss")
 	return t
@@ -69,43 +67,29 @@ func NewL1(name string, n int) *L1 {
 // filling). Returning a pointer instead of an Entry value keeps the 48-byte
 // struct copy off the L1-hit path, the simulator's hottest.
 func (t *L1) Lookup(vpn uint64) (*Entry, bool) {
-	if fastpath.Enabled {
-		if i := t.memo.Index(); i >= 0 {
-			e := &t.entries[i]
-			if e.valid && e.VPN == vpn {
-				// Memo hit: VPNs are unique among valid entries, so this is
-				// exactly the entry the full search would return; the LRU and
-				// counter updates below are the same ones it would make.
-				t.tick++
-				e.lru = t.tick
-				*t.hHit++
-				return e, true
-			}
+	if i := t.memo; i >= 0 {
+		e := &t.entries[i]
+		if e.valid && e.VPN == vpn {
+			// Memo hit: VPNs are unique among valid entries, so this is
+			// exactly the entry the full search would return; the LRU and
+			// counter updates below are the same ones it would make.
+			t.tick++
+			e.lru = t.tick
+			*t.hHit++
+			return e, true
 		}
-		for i := range t.entries {
-			e := &t.entries[i]
-			if e.valid && e.VPN == vpn {
-				t.tick++
-				e.lru = t.tick
-				t.memo.Remember(i)
-				*t.hHit++
-				return e, true
-			}
-		}
-		*t.hMiss++
-		return nil, false
 	}
-	// Reference path: full search, map-keyed counters.
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.valid && e.VPN == vpn {
 			t.tick++
 			e.lru = t.tick
-			t.Counters.Inc(t.name + ".hit")
+			t.memo = i
+			*t.hHit++
 			return e, true
 		}
 	}
-	t.Counters.Inc(t.name + ".miss")
+	*t.hMiss++
 	return nil, false
 }
 
@@ -149,7 +133,7 @@ func (t *L1) FlushAll() {
 	for i := range t.entries {
 		t.entries[i] = Entry{}
 	}
-	t.memo.Clear()
+	t.memo = -1
 }
 
 // FlushVPN invalidates the entry for one page (sfence.vma with an address).
@@ -159,7 +143,7 @@ func (t *L1) FlushVPN(vpn uint64) {
 			t.entries[i] = Entry{}
 		}
 	}
-	t.memo.Clear()
+	t.memo = -1
 }
 
 // Len returns the capacity.
@@ -167,7 +151,6 @@ func (t *L1) Len() int { return len(t.entries) }
 
 // L2 is a direct-mapped second-level TLB.
 type L2 struct {
-	name    string
 	entries []Entry
 	Latency uint64 // extra cycles to consult the L2 TLB
 
@@ -178,13 +161,13 @@ type L2 struct {
 
 // NewL2 builds a direct-mapped TLB with n entries (n must be a power of
 // two) and the given access latency. n = 0 is legal and models a machine
-// without a second TLB level: the structure stores nothing, and the MMU's
-// compiled pipelines skip the probe (and its latency charge) entirely.
+// without a second TLB level: the structure stores nothing, and the MMU
+// skips the probe (and its latency charge) entirely.
 func NewL2(name string, n int, latency uint64) *L2 {
 	if n != 0 && !addr.IsPow2(uint64(n)) {
 		panic("tlb: L2 size must be a power of two")
 	}
-	t := &L2{name: name, entries: make([]Entry, n), Latency: latency}
+	t := &L2{entries: make([]Entry, n), Latency: latency}
 	t.hHit = t.Counters.Handle(name + ".hit")
 	t.hMiss = t.Counters.Handle(name + ".miss")
 	return t
@@ -195,26 +178,18 @@ func (t *L2) slot(vpn uint64) *Entry { return &t.entries[vpn%uint64(len(t.entrie
 // Lookup probes the direct-mapped array. As with L1.Lookup, the returned
 // pointer aliases the slot and is read-only for the caller. A zero-capacity
 // L2 misses without bumping counters: an absent structure performs no probe,
-// and the MMU pipelines never call Lookup on one — the guard here keeps a
-// direct caller from dividing by zero in slot().
+// and the MMU never calls Lookup on one — the guard here keeps a direct
+// caller from dividing by zero in slot().
 func (t *L2) Lookup(vpn uint64) (*Entry, bool) {
 	if len(t.entries) == 0 {
 		return nil, false
 	}
 	e := t.slot(vpn)
 	if e.valid && e.VPN == vpn {
-		if fastpath.Enabled {
-			*t.hHit++
-		} else {
-			t.Counters.Inc(t.name + ".hit")
-		}
+		*t.hHit++
 		return e, true
 	}
-	if fastpath.Enabled {
-		*t.hMiss++
-	} else {
-		t.Counters.Inc(t.name + ".miss")
-	}
+	*t.hMiss++
 	return nil, false
 }
 
