@@ -59,8 +59,16 @@ type Cache struct {
 	cfg      Config
 	sets     uint64
 	lineBits uint
-	data     [][]line // [set][way]
-	tick     uint64   // LRU clock
+	// setBits is log2(sets): Validate guarantees a power-of-two set count,
+	// so index splits a line address with a mask and a shift instead of
+	// two 64-bit divisions on every probe.
+	setBits uint
+	ways    int
+	// lines holds every way of every set, set-major: set s occupies
+	// lines[s*ways : (s+1)*ways]. One flat array keeps a probe to a single
+	// bounds-checked slice instead of a slice-of-slices double load.
+	lines []line
+	tick  uint64 // LRU clock
 
 	// Hot-path counter handles, resolved once in New so per-access bumps
 	// pay neither a map lookup nor the cfg.Name+suffix concatenation.
@@ -76,14 +84,14 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Size / cfg.LineSize / uint64(cfg.Ways)
-	c := &Cache{cfg: cfg, sets: sets}
+	c := &Cache{cfg: cfg, sets: sets, ways: cfg.Ways}
 	for c.cfg.LineSize>>(c.lineBits+1) > 0 {
 		c.lineBits++
 	}
-	c.data = make([][]line, sets)
-	for i := range c.data {
-		c.data[i] = make([]line, cfg.Ways)
+	for sets>>(c.setBits+1) > 0 {
+		c.setBits++
 	}
+	c.lines = make([]line, sets*uint64(cfg.Ways))
 	c.hHit = c.Counters.Handle(cfg.Name + ".hit")
 	c.hMiss = c.Counters.Handle(cfg.Name + ".miss")
 	c.hFill = c.Counters.Handle(cfg.Name + ".fill")
@@ -99,15 +107,22 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(pa addr.PA) (set, tag uint64) {
 	lineAddr := uint64(pa) >> c.lineBits
-	return lineAddr % c.sets, lineAddr / c.sets
+	return lineAddr & (c.sets - 1), lineAddr >> c.setBits
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	base := int(s) * c.ways
+	return c.lines[base : base+c.ways : base+c.ways]
 }
 
 // Lookup probes the cache without filling. It returns whether the line is
 // present and updates LRU on hit.
 func (c *Cache) Lookup(pa addr.PA, write bool) bool {
 	set, tag := c.index(pa)
-	for i := range c.data[set] {
-		l := &c.data[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			c.tick++
 			l.lru = c.tick
@@ -129,7 +144,7 @@ func (c *Cache) Lookup(pa addr.PA, write bool) bool {
 // access behaves uncached), matching lock-by-way hardware.
 func (c *Cache) Fill(pa addr.PA, write bool) (victim addr.PA, dirty, ok bool) {
 	set, tag := c.index(pa)
-	ways := c.data[set]
+	ways := c.set(set)
 	// Refresh in place if present (keeps lock state).
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
@@ -163,7 +178,7 @@ func (c *Cache) Fill(pa addr.PA, write bool) (victim addr.PA, dirty, ok bool) {
 	}
 	{
 		v := &ways[vi]
-		victimLineAddr := (v.tag*c.sets + set) << c.lineBits
+		victimLineAddr := (v.tag<<c.setBits | set) << c.lineBits
 		victim, dirty, ok = addr.PA(victimLineAddr), v.dirty, true
 		if dirty {
 			*c.hWriteback++
@@ -181,7 +196,7 @@ place:
 // whether the pin took hold (false when the set is already fully locked).
 func (c *Cache) Lock(pa addr.PA) bool {
 	set, tag := c.index(pa)
-	ways := c.data[set]
+	ways := c.set(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].locked = true
@@ -212,8 +227,9 @@ func (c *Cache) Lock(pa addr.PA) bool {
 // Unlock releases a pinned line (no-op when absent).
 func (c *Cache) Unlock(pa addr.PA) {
 	set, tag := c.index(pa)
-	for i := range c.data[set] {
-		l := &c.data[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.locked = false
 		}
@@ -223,11 +239,9 @@ func (c *Cache) Unlock(pa addr.PA) {
 // LockedLines counts pinned lines (for accounting).
 func (c *Cache) LockedLines() int {
 	n := 0
-	for s := range c.data {
-		for w := range c.data[s] {
-			if c.data[s][w].valid && c.data[s][w].locked {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].locked {
+			n++
 		}
 	}
 	return n
@@ -236,19 +250,16 @@ func (c *Cache) LockedLines() int {
 // InvalidateAll flushes the cache (used to build cold-state test cases;
 // dirty data is discarded because experiment state is rebuilt afterwards).
 func (c *Cache) InvalidateAll() {
-	for s := range c.data {
-		for w := range c.data[s] {
-			c.data[s][w] = line{}
-		}
-	}
+	clear(c.lines)
 }
 
 // Contains reports presence without touching LRU or counters (for tests and
 // state priming checks).
 func (c *Cache) Contains(pa addr.PA) bool {
 	set, tag := c.index(pa)
-	for i := range c.data[set] {
-		l := c.data[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := ways[i]
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -260,7 +271,7 @@ func (c *Cache) Contains(pa addr.PA) bool {
 // setup code to pre-warm caches into a Table 2 state.
 func (c *Cache) Touch(pa addr.PA) {
 	set, tag := c.index(pa)
-	ways := c.data[set]
+	ways := c.set(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.tick++
@@ -306,19 +317,23 @@ type hierHandles struct {
 	l1Hit, l2Hit, llcHit, dram *uint64
 }
 
-// handles resolves the hierarchy's counter handles on first use. Resolution
-// is identical on both the fast and reference paths so the registered
-// counter names (and thus snapshots) never differ between them.
+// handles returns the hierarchy's counter handles, resolving them on first
+// use. The check is kept small enough to inline into access; resolution
+// itself happens once, out of line.
 func (h *Hierarchy) handles() *hierHandles {
 	if h.hh.l1Hit == nil {
-		h.hh = hierHandles{
-			l1Hit:  h.Counters.Handle("mem.l1_hit"),
-			l2Hit:  h.Counters.Handle("mem.l2_hit"),
-			llcHit: h.Counters.Handle("mem.llc_hit"),
-			dram:   h.Counters.Handle("mem.dram_access"),
-		}
+		h.resolveHandles()
 	}
 	return &h.hh
+}
+
+func (h *Hierarchy) resolveHandles() {
+	h.hh = hierHandles{
+		l1Hit:  h.Counters.Handle("mem.l1_hit"),
+		l2Hit:  h.Counters.Handle("mem.l2_hit"),
+		llcHit: h.Counters.Handle("mem.llc_hit"),
+		dram:   h.Counters.Handle("mem.dram_access"),
+	}
 }
 
 // Level identifies the hierarchy level that satisfied a request. The values
@@ -379,13 +394,13 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 	hh := h.handles()
 	var lat uint64
 	if !skipL1 {
-		lat = h.L1.Config().Latency
+		lat = h.L1.cfg.Latency
 		if h.L1.Lookup(pa, write) {
 			*hh.l1Hit++
 			return AccessResult{Latency: lat, Level: LvlL1}
 		}
 	}
-	lat += h.L2.Config().Latency
+	lat += h.L2.cfg.Latency
 	if h.L2.Lookup(pa, write) {
 		if !skipL1 {
 			h.L1.Fill(pa, write)
@@ -393,7 +408,7 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 		*hh.l2Hit++
 		return AccessResult{Latency: lat, Level: LvlL2}
 	}
-	lat += h.LLC.Config().Latency
+	lat += h.LLC.cfg.Latency
 	if h.LLC.Lookup(pa, write) {
 		h.L2.Fill(pa, false)
 		if !skipL1 {
