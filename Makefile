@@ -81,14 +81,17 @@ pipelines-smoke:
 daemon-smoke:
 	$(GO) test -run TestDaemonSmoke -count=1 -v ./cmd/hpmpsimd
 
-# Short fuzz pass over the register-format round trips and the PMPTW
-# walker-vs-oracle cross-check (go test -fuzz takes one target at a time).
+# Short fuzz pass over the register-format round trips, the PMPTW
+# walker-vs-oracle cross-check, the trace reader and the trace event decoder
+# against its encoding/json reference (go test -fuzz takes one target at a
+# time).
 # The weekly fuzz workflow overrides FUZZTIME for a longer soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/pmp -run '^$$' -fuzz FuzzPMPEncodeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pmpt -run '^$$' -fuzz FuzzPMPTWalk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceEventLine -fuzztime $(FUZZTIME)
 
 # Refresh the committed cross-commit metrics baseline (quick sizes, JSON
 # only — the Prometheus text is derived output). Run this when an

@@ -1,8 +1,9 @@
 // Latency pin for the PR-6 tentpole: the steady-state TLB-hit access must
-// stay at or below 40 ns/op (BENCH_pr6.json records ~25 ns/op post-change,
-// down from ~120 ns/op when Result was returned by value through the access
-// chain). Excluded from race builds — instrumentation inflates the hot path
-// far past the bound and would only measure the race detector.
+// stay at or below 40 ns/op (PR 6's entry in results/bench_history.json
+// records ~25 ns/op post-change, down from ~120 ns/op when Result was
+// returned by value through the access chain). Excluded from race builds —
+// instrumentation inflates the hot path far past the bound and would only
+// measure the race detector.
 //
 //go:build !race
 

@@ -2,14 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
-
-	"hpmp/internal/addr"
-	"hpmp/internal/perm"
 )
 
 // TraceSchema names the trace-file format version. The first line of a
@@ -32,88 +29,6 @@ type Header struct {
 	Seen    uint64 `json:"seen"`
 	Sampled uint64 `json:"sampled"`
 	Kept    int    `json:"kept"`
-}
-
-// eventJSON is the wire form of Event: enums as their String names and
-// addresses as hex strings, so traces are greppable as text.
-type eventJSON struct {
-	Seq     uint64 `json:"seq"`
-	Kind    string `json:"kind"`
-	Access  string `json:"access"`
-	TLB     string `json:"tlb,omitempty"`
-	Level   int8   `json:"level"`
-	Hit     bool   `json:"hit"`
-	Fault   string `json:"fault,omitempty"`
-	VA      string `json:"va"`
-	PA      string `json:"pa"`
-	Refs    uint16 `json:"refs"`
-	ChkRefs uint16 `json:"chk_refs"`
-	Cycles  uint64 `json:"cycles"`
-}
-
-func toJSON(ev Event) eventJSON {
-	return eventJSON{
-		Seq:     ev.Seq,
-		Kind:    ev.Kind.String(),
-		Access:  ev.Access.String(),
-		TLB:     ev.TLB.String(),
-		Level:   ev.Level,
-		Hit:     ev.Hit,
-		Fault:   ev.Fault.String(),
-		VA:      fmt.Sprintf("%#x", uint64(ev.VA)),
-		PA:      fmt.Sprintf("%#x", uint64(ev.PA)),
-		Refs:    ev.Refs,
-		ChkRefs: ev.ChkRefs,
-		Cycles:  ev.Cycles,
-	}
-}
-
-func fromJSON(ej eventJSON) (Event, error) {
-	kind, ok := KindFromString(ej.Kind)
-	if !ok {
-		return Event{}, fmt.Errorf("obs: unknown event kind %q", ej.Kind)
-	}
-	tlb, ok := TLBPathFromString(ej.TLB)
-	if !ok {
-		return Event{}, fmt.Errorf("obs: unknown tlb path %q", ej.TLB)
-	}
-	fault, ok := FaultFromString(ej.Fault)
-	if !ok {
-		return Event{}, fmt.Errorf("obs: unknown fault kind %q", ej.Fault)
-	}
-	var access perm.Access
-	switch ej.Access {
-	case perm.Read.String():
-		access = perm.Read
-	case perm.Write.String():
-		access = perm.Write
-	case perm.Fetch.String():
-		access = perm.Fetch
-	default:
-		return Event{}, fmt.Errorf("obs: unknown access kind %q", ej.Access)
-	}
-	va, err := strconv.ParseUint(ej.VA, 0, 64)
-	if err != nil {
-		return Event{}, fmt.Errorf("obs: bad va %q: %w", ej.VA, err)
-	}
-	pa, err := strconv.ParseUint(ej.PA, 0, 64)
-	if err != nil {
-		return Event{}, fmt.Errorf("obs: bad pa %q: %w", ej.PA, err)
-	}
-	return Event{
-		Seq:     ej.Seq,
-		Kind:    kind,
-		Access:  access,
-		TLB:     tlb,
-		Level:   ej.Level,
-		Hit:     ej.Hit,
-		Fault:   fault,
-		VA:      addr.VA(va),
-		PA:      addr.PA(pa),
-		Refs:    ej.Refs,
-		ChkRefs: ej.ChkRefs,
-		Cycles:  ej.Cycles,
-	}, nil
 }
 
 // header builds the trace-file header for this tracer's current state.
@@ -156,7 +71,7 @@ const DefaultStreamFlush = 256
 // http.Flusher.Flush so chunks leave the server as they are produced.
 type StreamTracer struct {
 	bw       *bufio.Writer
-	enc      *json.Encoder
+	line     []byte // the event line being encoded, reused across Writes
 	declared int
 	written  int
 	every    int
@@ -186,8 +101,7 @@ func NewStreamTracer(w io.Writer, h Header, flushEvery int, onFlush func()) (*St
 		every:    flushEvery,
 		onFlush:  onFlush,
 	}
-	st.enc = json.NewEncoder(st.bw)
-	if err := st.enc.Encode(h); err != nil {
+	if err := json.NewEncoder(st.bw).Encode(h); err != nil {
 		return nil, err
 	}
 	// Commit the header immediately: a tailing reader can parse it and
@@ -219,7 +133,8 @@ func (st *StreamTracer) Write(ev Event) error {
 		return fmt.Errorf("obs: stream event seq %d not after %d", ev.Seq, st.lastSeq)
 	}
 	st.lastSeq = ev.Seq
-	if err := st.enc.Encode(toJSON(ev)); err != nil {
+	st.line = appendEvent(st.line[:0], ev)
+	if _, err := st.bw.Write(st.line); err != nil {
 		return err
 	}
 	st.written++
@@ -272,7 +187,26 @@ func WriteTraceStream(w io.Writer, source string, t *Tracer, flushEvery int, onF
 // first), and a stream that ends before header.kept events — a partial
 // download, a truncated copy — is an explicit truncation error rather than
 // a silent partial success.
+//
+// The header line is decoded by encoding/json. Event lines go through the
+// package's own decoder. It accepts a line only if encoding/json would
+// decode it into a valid event: ill-typed values, out-of-range integers
+// (refs and chk_refs are uint16, level int8, seq and cycles uint64),
+// trailing bytes and a missing kind, access, va or pa are errors, and
+// addresses parse as strconv.ParseUint(s, 0, 64) does. Of the lines
+// encoding/json accepts, it refuses only four forms the writer never
+// emits:
+//   - a key that matches an event key only case-insensitively ("Seq");
+//   - a string containing a backslash escape;
+//   - null as the value of an event key;
+//   - an object or array as the value of an unknown key.
 func ReadTrace(r io.Reader) (Header, []Event, error) {
+	// The header's kept count is untrusted input, so the event slice is
+	// presized only as far as the input's length can back it.
+	maxEvents := -1
+	if lr, ok := r.(interface{ Len() int }); ok {
+		maxEvents = lr.Len() / minEventLine
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	if !sc.Scan() {
@@ -292,18 +226,18 @@ func ReadTrace(r io.Reader) (Header, []Event, error) {
 		return Header{}, nil, fmt.Errorf("obs: bad trace header: negative kept count %d", h.Kept)
 	}
 	var events []Event
+	if maxEvents >= 0 {
+		events = make([]Event, 0, min(h.Kept, maxEvents))
+	}
 	line := 1
 	lastSeq := uint64(0)
 	for sc.Scan() {
 		line++
-		if len(strings.TrimSpace(string(sc.Bytes()))) == 0 {
+		b := sc.Bytes()
+		if len(bytes.TrimSpace(b)) == 0 {
 			continue
 		}
-		var ej eventJSON
-		if err := json.Unmarshal(sc.Bytes(), &ej); err != nil {
-			return Header{}, nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		ev, err := fromJSON(ej)
+		ev, err := decodeEvent(b)
 		if err != nil {
 			return Header{}, nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}

@@ -135,9 +135,9 @@ func FuzzReadTrace(f *testing.F) {
 					i, events[i-1].Seq, events[i].Seq)
 			}
 		}
-		// Every accepted event must survive a re-serialize/re-parse cycle.
+		// Every accepted event must survive a re-encode/re-decode cycle.
 		for i, ev := range events {
-			rt, err := fromJSON(toJSON(ev))
+			rt, err := decodeEvent(appendEvent(nil, ev))
 			if err != nil {
 				t.Fatalf("event %d does not round-trip: %v", i, err)
 			}

@@ -20,6 +20,13 @@ type Tracer struct {
 // DefaultRing is the ring capacity the CLI tools default to.
 const DefaultRing = 4096
 
+// MaxRing is the largest ring a daemon tenant may ask for. NewTracer
+// allocates the whole ring up front, so an unbounded tenant-chosen size
+// would let one request exhaust the host. It holds a full-sampled
+// fig12c run (about 1.1 M events) with room to spare: 2 Mi events of
+// 64 bytes, 128 MiB.
+const MaxRing = 1 << 21
+
 // NewTracer builds a tracer that keeps the last `keep` of every `every`-th
 // event (every ≤ 1 records all events; keep ≤ 0 falls back to DefaultRing).
 func NewTracer(keep, every int) *Tracer {

@@ -38,7 +38,8 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 	// TraceEvery samples every Nth translation event (default 1).
 	TraceEvery int `json:"trace_every,omitempty"`
-	// TraceKeep bounds the per-experiment ring (default obs.DefaultRing).
+	// TraceKeep bounds the per-experiment ring (default obs.DefaultRing;
+	// at most obs.MaxRing, as the ring is allocated whole).
 	TraceKeep int `json:"trace_keep,omitempty"`
 	// ID names the replay metrics source (default "replay"), mirroring
 	// the CLI's -id flag.
@@ -165,6 +166,9 @@ func (j *Job) resolve() error {
 	if req.TraceEvery < 0 || req.TraceKeep < 0 {
 		return fmt.Errorf("serve: trace_every and trace_keep must be >= 0")
 	}
+	if req.TraceKeep > obs.MaxRing {
+		return fmt.Errorf("serve: trace_keep %d exceeds the maximum ring of %d events", req.TraceKeep, obs.MaxRing)
+	}
 
 	switch req.Kind {
 	case "run":
@@ -273,7 +277,7 @@ func (j *Job) executeReplay(ctx context.Context) error {
 	if j.Request.Trace {
 		keep := j.Request.TraceKeep
 		if keep <= 0 {
-			keep = 16*len(j.events) + 4096
+			keep = min(16*len(j.events)+4096, obs.MaxRing)
 		}
 		every := j.Request.TraceEvery
 		if every <= 0 {

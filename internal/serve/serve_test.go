@@ -162,6 +162,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		{"bad-machine-mode", `{"kind":"run","experiments":["fig10"],"machine":{"mode":"sgx"}}`},
 		{"bad-machine-depth", `{"kind":"run","experiments":["fig10"],"machine":{"mode":"pmp","table_depth":3}}`},
 		{"huge-machine-pwc", `{"kind":"run","experiments":["fig10"],"machine":{"pwc":1099511627776}}`},
+		{"huge-trace-keep", `{"kind":"run","experiments":["fig10"],"trace":true,"trace_keep":1099511627776}`},
 		{"unknown-field", `{"kind":"run","experiments":["fig10"],"machne":{}}`},
 		{"unknown-machine-field", `{"kind":"run","experiments":["fig10"],"machine":{"l2tlb_entries":4}}`},
 		{"negative-workload", `{"kind":"run","experiments":["fig10"],"workload":{"redis_keyspace":-1}}`},
